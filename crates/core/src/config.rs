@@ -258,78 +258,6 @@ impl CellSystem {
         )
     }
 
-    /// Deprecated panicking form of [`CellSystem::try_run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics with the full stall diagnosis if the fabric stalls.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `try_run`, which reports stalls as values"
-    )]
-    pub fn run(&self, placement: &Placement, plan: &TransferPlan) -> FabricReport {
-        self.try_run(placement, plan)
-            .unwrap_or_else(|failure| panic!("{failure}"))
-    }
-
-    /// Deprecated panicking form of [`CellSystem::try_run_with_data`].
-    ///
-    /// # Panics
-    ///
-    /// Panics with the full stall diagnosis if the fabric stalls.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `try_run_with_data`, which reports stalls as values"
-    )]
-    pub fn run_with_data(
-        &self,
-        placement: &Placement,
-        plan: &TransferPlan,
-        state: &mut MachineState,
-    ) -> FabricReport {
-        self.try_run_with_data(placement, plan, state)
-            .unwrap_or_else(|failure| panic!("{failure}"))
-    }
-
-    /// Deprecated panicking form of [`CellSystem::try_run_traced`].
-    ///
-    /// # Panics
-    ///
-    /// Panics with the full stall diagnosis if the fabric stalls.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `try_run_traced`, which reports stalls as values"
-    )]
-    pub fn run_traced(
-        &self,
-        placement: &Placement,
-        plan: &TransferPlan,
-    ) -> (FabricReport, FabricTrace) {
-        self.try_run_traced(placement, plan)
-            .unwrap_or_else(|failure| panic!("{failure}"))
-    }
-
-    /// Deprecated panicking form of
-    /// [`CellSystem::try_run_traced_with_capacity`].
-    ///
-    /// # Panics
-    ///
-    /// Panics with the full stall diagnosis if the fabric stalls, or if
-    /// `capacity` is zero.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `try_run_traced_with_capacity`, which reports stalls as values"
-    )]
-    pub fn run_traced_with_capacity(
-        &self,
-        placement: &Placement,
-        plan: &TransferPlan,
-        capacity: usize,
-    ) -> (FabricReport, FabricTrace) {
-        self.try_run_traced_with_capacity(placement, plan, capacity)
-            .unwrap_or_else(|failure| panic!("{failure}"))
-    }
-
     /// The PPE pipeline model configured for this machine.
     pub fn ppe_model(&self) -> PpeModel {
         PpeModel::new(self.config.ppe, self.config.clock)

@@ -24,6 +24,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cellsim_eib::{EibStats, RingStats};
+use cellsim_kernel::hash::fnv1a;
 use cellsim_mem::{BankId, BankStats};
 
 use crate::exec::RunKey;
@@ -168,19 +169,6 @@ impl DiskCache {
             }
         }
     }
-}
-
-/// FNV-1a, 64-bit — the same pinned hash as
-/// [`config_fingerprint`](crate::exec::config_fingerprint), chosen over
-/// `DefaultHasher` because the standard library's algorithm may change
-/// across Rust releases, which would orphan every persisted entry.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Canonical JSON of a [`RunKey`]: names the entry file and is embedded
@@ -657,6 +645,18 @@ mod tests {
         );
         // The fingerprint is stable across calls and key clones.
         assert_eq!(key_fingerprint(&key), key_fingerprint(&key.clone()));
+    }
+
+    /// Persisted cache entries, trace-store directories and metric
+    /// baselines are named by these fingerprints: a hash change would
+    /// silently orphan all of them.
+    #[test]
+    fn fingerprints_are_pinned() {
+        assert_eq!(
+            crate::exec::config_fingerprint(CellSystem::blade().config()),
+            0xdce9_ed52_2984_e9ba
+        );
+        assert_eq!(key_fingerprint(&sample().0), 0x6dd5_33b1_6396_d68c);
     }
 
     #[test]

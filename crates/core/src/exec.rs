@@ -40,6 +40,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
+use cellsim_kernel::hash::fnv1a;
+
 use crate::config::{CellConfig, CellSystem};
 use crate::diskcache::{DiskCache, DiskCacheStats};
 use crate::fabric::FabricReport;
@@ -60,21 +62,11 @@ const _: () = {
 
 /// Stable fingerprint of a machine configuration.
 ///
-/// FNV-1a over the `Debug` rendering: every tunable of [`CellConfig`] is
-/// a plain value that `Debug`-prints deterministically, and the hash is
-/// pinned here rather than borrowed from the standard library —
-/// `DefaultHasher`'s algorithm is explicitly *not* specified to stay the
-/// same across Rust releases, which would silently re-key any persisted
-/// cached reports or metric baselines.
+/// The pinned [`fnv1a`] over the `Debug` rendering: every tunable of
+/// [`CellConfig`] is a plain value that `Debug`-prints deterministically.
 #[must_use]
 pub fn config_fingerprint(config: &CellConfig) -> u64 {
-    // FNV-1a, 64-bit (offset basis / prime per the FNV reference).
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in format!("{config:?}").bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a(format!("{config:?}").as_bytes())
 }
 
 /// What a run simulates, minus the placement: the experiment-point

@@ -43,11 +43,12 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use cellsim_kernel::hash::{fnv1a, fnv1a_extend, FNV1A_BASIS};
 use cellsim_kernel::varint::{decode_u64, encode_u64, MAX_VARINT_BYTES};
 use cellsim_kernel::{Cycle, MachineClock};
 
 use crate::config::CellSystem;
-use crate::diskcache::{fnv1a, key_fingerprint, key_json};
+use crate::diskcache::{key_fingerprint, key_json};
 use crate::exec::{RunKey, RunSpec};
 use crate::fabric::FabricReport;
 use crate::failure::RunFailure;
@@ -388,7 +389,7 @@ impl<W: Write> TraceStoreWriter<W> {
         let mut w = TraceStoreWriter {
             out,
             error: None,
-            checksum: 0xcbf2_9ce4_8422_2325,
+            checksum: FNV1A_BASIS,
             written: 0,
             buf: Vec::with_capacity(64 << 10),
             cur: OpenBlock::default(),
@@ -408,10 +409,7 @@ impl<W: Write> TraceStoreWriter<W> {
         if self.error.is_some() {
             return;
         }
-        for &b in bytes {
-            self.checksum ^= u64::from(b);
-            self.checksum = self.checksum.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.checksum = fnv1a_extend(self.checksum, bytes);
         match self.out.write_all(bytes) {
             Ok(()) => self.written += bytes.len() as u64,
             Err(e) => self.error = Some(e),

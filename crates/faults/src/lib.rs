@@ -30,6 +30,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use cellsim_kernel::hash::fnv1a;
 use cellsim_kernel::json::{self, JsonValue};
 use cellsim_kernel::rng::derive_seed;
 
@@ -328,16 +329,6 @@ pub struct FaultPlan {
     pub mfc: MfcFaults,
     /// Retry semantics for NACKed accesses.
     pub retry: RetryPolicy,
-}
-
-/// FNV-1a over a byte string (matches `cellsim_core::exec`'s local FNV).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 impl FaultPlan {

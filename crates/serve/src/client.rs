@@ -7,7 +7,7 @@
 //! integrity check on top of the report's own canonical encoding.
 
 use std::fmt;
-use std::io::{BufReader, Write};
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 
@@ -16,7 +16,7 @@ use cellsim_core::exec::RunSpec;
 use cellsim_core::json::{self, JsonValue};
 use cellsim_core::{FabricReport, FaultPlan};
 
-use crate::framing::LineReader;
+use crate::framing::{write_line, LineReader};
 use crate::protocol::{encode_run_request, MAX_LINE_BYTES};
 use crate::retry::RetryPolicy;
 
@@ -156,6 +156,7 @@ impl Client {
     /// Any [`std::io::Error`] from connecting.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Client {
             reader: LineReader::new(BufReader::new(stream), MAX_LINE_BYTES),
@@ -178,9 +179,7 @@ impl Client {
     }
 
     fn send(&mut self, line: &str) -> Result<(), ClientError> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        write_line(&mut self.writer, line)?;
         Ok(())
     }
 

@@ -4,8 +4,27 @@
 //! the peer a memory-exhaustion lever. [`LineReader`] frames lines with
 //! a hard byte cap instead: an over-long line is reported as
 //! [`LineRead::TooLong`] without ever buffering more than the cap.
+//!
+//! Writes go through [`write_line`], which hands the kernel each frame
+//! in one piece: a line and its newline written separately would leave
+//! the one-byte newline behind Nagle's algorithm until the peer's
+//! delayed ACK fires (≥ 40 ms on Linux) on every round trip.
 
-use std::io::BufRead;
+use std::io::{BufRead, Write};
+
+/// Writes `line` and its terminating newline with a single
+/// `write_all`, then flushes.
+///
+/// # Errors
+///
+/// Any [`std::io::Error`] from the writer.
+pub fn write_line<W: Write>(out: &mut W, line: &str) -> std::io::Result<()> {
+    let mut frame = Vec::with_capacity(line.len() + 1);
+    frame.extend_from_slice(line.as_bytes());
+    frame.push(b'\n');
+    out.write_all(&frame)?;
+    out.flush()
+}
 
 /// How one framed read ended.
 pub enum LineRead {
@@ -181,6 +200,40 @@ mod tests {
         fn consume(&mut self, n: usize) {
             self.current.drain(..n);
         }
+    }
+
+    /// A writer that records every `write` call it receives.
+    #[derive(Default)]
+    struct Counting {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_line_emits_each_frame_in_one_write() {
+        let lines = [r#"{"op":"stats"}"#, "", "x"];
+        let mut whole = Counting::default();
+        let mut split = Vec::new();
+        for line in lines {
+            write_line(&mut whole, line).unwrap();
+            // The two-write framing this replaces.
+            split.write_all(line.as_bytes()).unwrap();
+            split.write_all(b"\n").unwrap();
+        }
+        assert_eq!(whole.writes, lines.len());
+        assert_eq!(whole.bytes, split);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //!   the accept loop exits cleanly, appending a final stats snapshot.
 
 use std::collections::HashMap;
-use std::io::{BufReader, Write};
+use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 
 use cellsim_core::exec::{SweepExecutor, DEFAULT_CACHE_CAPACITY};
 
-use crate::framing::{LineRead, LineReader};
+use crate::framing::{write_line, LineRead, LineReader};
 use crate::protocol::{self, Request, MAX_LINE_BYTES};
 use crate::scheduler::{Batch, ConnSink, Job, Scheduler, SubmitError};
 
@@ -430,6 +430,7 @@ struct ConnContext {
 /// The per-connection reader loop: frame, decode, dispatch.
 fn serve_connection(ctx: &ConnContext, stream: TcpStream) {
     let _ = stream.set_read_timeout(ctx.read_timeout);
+    let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
@@ -451,12 +452,7 @@ fn serve_connection(ctx: &ConnContext, stream: TcpStream) {
                     Err(std::sync::mpsc::RecvTimeoutError::Timeout) => continue,
                     Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
                 };
-                if out
-                    .write_all(line.as_bytes())
-                    .and_then(|()| out.write_all(b"\n"))
-                    .and_then(|()| out.flush())
-                    .is_err()
-                {
+                if write_line(&mut out, &line).is_err() {
                     monitor.mark_dead();
                     break;
                 }
@@ -466,9 +462,7 @@ fn serve_connection(ctx: &ConnContext, stream: TcpStream) {
             // reader thread wakes too.
             if monitor.is_dead() {
                 if let Some(words) = monitor.take_last_words() {
-                    let _ = out
-                        .write_all(words.as_bytes())
-                        .and_then(|()| out.write_all(b"\n"));
+                    let _ = write_line(&mut out, &words);
                 }
                 let _ = out.shutdown(Shutdown::Both);
             }

@@ -459,3 +459,33 @@ fn faulted_batches_match_a_local_faulted_executor() {
     assert_eq!(from_wire, from_local);
     daemon.stop();
 }
+
+#[test]
+fn warm_round_trips_do_not_wait_on_delayed_acks() {
+    let daemon = start_daemon(&ServeOptions::default());
+    let system = CellSystem::blade();
+    let specs = tiny_specs(&system, "12")[..1].to_vec();
+    let mut client = Client::connect(daemon.addr).expect("connect");
+    // Warm the daemon's cache; every timed batch below is a cache hit.
+    client.run_batch("warm", None, &specs).expect("warm batch");
+
+    let mut round_trips: Vec<std::time::Duration> = (0..20)
+        .map(|i| {
+            let started = std::time::Instant::now();
+            let outcome = client
+                .run_batch(&format!("rt{i}"), None, &specs)
+                .expect("batch");
+            assert_eq!(outcome.ok, 1);
+            started.elapsed()
+        })
+        .collect();
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    // Half the 40 ms Linux delayed-ACK floor: a frame split across two
+    // writes stalls behind Nagle's algorithm on every round trip.
+    assert!(
+        median < std::time::Duration::from_millis(20),
+        "median warm round trip {median:?}; all: {round_trips:?}"
+    );
+    daemon.stop();
+}

@@ -1,7 +1,6 @@
 //! The typed failure pipeline: a pathological machine configuration
 //! yields `Err(RunFailure::Stall(..))` with a usable diagnosis instead
-//! of a process abort, and the deprecated panicking wrappers surface
-//! the same diagnosis as their panic message.
+//! of a process abort.
 
 use cellsim::{CellConfig, CellSystem, Placement, RunFailure, StallKind, SyncPolicy, TransferPlan};
 
@@ -76,11 +75,4 @@ fn data_and_traced_variants_report_the_same_stall() {
         .unwrap_err();
     assert_eq!(direct.diagnosis().kind, with_data.diagnosis().kind);
     assert_eq!(direct.diagnosis().kind, traced.diagnosis().kind);
-}
-
-#[test]
-#[should_panic(expected = "horizon-exceeded")]
-fn deprecated_wrapper_panics_with_the_diagnosis() {
-    #[allow(deprecated)]
-    let _ = glacial_blade().run(&Placement::identity(), &plan());
 }
