@@ -55,6 +55,49 @@ fn bench_eib(c: &mut Criterion) {
             black_box(granted)
         })
     });
+    // Figure 8's 8-SPE GET+PUT at queue depth: every SPE keeps 16
+    // packets pending, alternating memory reads (MIC→SPE) and writes
+    // (SPE→MIC), all in the MIC-priority class. The token names the
+    // flow; each granted flow resubmits at once, until 4096 packets have
+    // been granted.
+    c.bench_function("eib/mixed_getput_8spe_depth16", |b| {
+        let request = |flow: u64| {
+            let spe = Element::spe((flow % 8) as u8);
+            if (flow / 8).is_multiple_of(2) {
+                TransferRequest {
+                    src: Element::Mic,
+                    dst: spe,
+                    bytes: 128,
+                    class: FlowClass::MemRead,
+                }
+            } else {
+                TransferRequest {
+                    src: spe,
+                    dst: Element::Mic,
+                    bytes: 128,
+                    class: FlowClass::MfcOut,
+                }
+            }
+        };
+        b.iter(|| {
+            let mut eib = Eib::new(Topology::cbe(), EibConfig::default());
+            for flow in 0..8 * 16 {
+                eib.submit(Cycle::ZERO, flow, request(flow));
+            }
+            let mut grants = Vec::new();
+            let mut now = Cycle::ZERO;
+            let mut granted = 0u64;
+            while granted < 4096 {
+                eib.arbitrate_into(now, &mut grants);
+                for &(flow, _) in &grants {
+                    eib.submit(now, flow, request(flow));
+                }
+                granted += grants.len() as u64;
+                now = eib.next_release_after(now).expect("queue never drains");
+            }
+            black_box(granted)
+        })
+    });
 }
 
 fn bench_mfc(c: &mut Criterion) {

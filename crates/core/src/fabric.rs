@@ -17,7 +17,9 @@
 
 use std::collections::VecDeque;
 
-use cellsim_eib::{CommandBus, Eib, EibStats, Element, FlowClass, Topology, TransferRequest};
+use cellsim_eib::{
+    CommandBus, Eib, EibStats, Element, FlowClass, Grant, Topology, TransferRequest,
+};
 use cellsim_faults::FaultPlan;
 use cellsim_kernel::{Cycle, Model, Scheduler, Simulation};
 use cellsim_mem::{BankId, MemorySystem, Op};
@@ -229,6 +231,8 @@ struct Fabric<'d> {
     /// same SPE had already run (see [`Fabric::schedule_pump`]).
     suppressed_pumps: u64,
     kick_scheduled: Option<Cycle>,
+    /// Grant buffer reused by every [`Fabric::kick`].
+    grants: Vec<(u64, Grant)>,
     delivered_packets: u64,
     /// NACK/retry tallies (all-zero without an active fault plan).
     fault_stats: FaultStats,
@@ -561,7 +565,9 @@ impl Fabric<'_> {
     }
 
     fn kick(&mut self, now: Cycle, sched: &mut Scheduler<Ev>) {
-        for (token, grant) in self.eib.arbitrate(now) {
+        let mut grants = std::mem::take(&mut self.grants);
+        self.eib.arbitrate_into(now, &mut grants);
+        for &(token, grant) in &grants {
             let id = u32::try_from(token).expect("token is a packet id");
             let info = self.packets[id as usize];
             self.packets[id as usize].phase = PacketPhase::OnWire;
@@ -584,6 +590,7 @@ impl Fabric<'_> {
             }
             sched.schedule(grant.delivered_at, Ev::Delivered(id));
         }
+        self.grants = grants;
         if self.eib.has_pending() {
             let at = self
                 .eib
@@ -807,6 +814,7 @@ pub(crate) fn run_plan_traced<'d>(
         peak_live_packets: 0,
         suppressed_pumps: 0,
         kick_scheduled: None,
+        grants: Vec::new(),
         delivered_packets: 0,
         fault_stats: FaultStats::default(),
         latency: LatencyMetrics::default(),

@@ -1,6 +1,7 @@
 //! The central data arbiter: ring selection, port reservation, fairness.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use cellsim_faults::EibFaults;
 use cellsim_kernel::Cycle;
@@ -131,19 +132,50 @@ pub struct RingStats {
     pub busy_cycles: u64,
 }
 
+/// A queued request. Its priority class and primary ring direction are
+/// implied by the grant lane holding it.
 #[derive(Debug)]
 struct Pending {
+    /// Submit order across all lanes: a pass merges its two direction
+    /// lanes by this number, which is exactly the age order.
+    seq: u64,
     token: u64,
     req: TransferRequest,
     enqueued: Cycle,
-    /// Ramp indices and shortest-route direction, resolved once at
-    /// submit so the arbitration loop never repeats the lookups.
+    /// Ramp indices, resolved once at submit so the arbitration loop
+    /// never repeats the lookups.
     src_ramp: usize,
     dst_ramp: usize,
-    dir: Direction,
-    /// Whether the transfer touches the MIC (memory-priority pass).
-    mic: bool,
 }
+
+/// Grant lanes: `[MIC clockwise, MIC counter-clockwise, other clockwise,
+/// other counter-clockwise]`. A pass covers the pair starting at
+/// [`MIC_LANES`] or [`OTHER_LANES`].
+const MIC_LANES: usize = 0;
+const OTHER_LANES: usize = 2;
+
+fn lane_of(mic: bool, dir: Direction) -> usize {
+    let pass = if mic { MIC_LANES } else { OTHER_LANES };
+    match dir {
+        Direction::Clockwise => pass,
+        Direction::CounterClockwise => pass + 1,
+    }
+}
+
+/// Dense slot of an element kind (PPE, SPE0–7, MIC, IOIF0, IOIF1), for
+/// the element→ramp table. `None` for an SPE number the CBE lacks.
+fn element_slot(e: Element) -> Option<usize> {
+    match e {
+        Element::Ppe => Some(0),
+        Element::Spe(n) if n < 8 => Some(1 + usize::from(n)),
+        Element::Spe(_) => None,
+        Element::Mic => Some(9),
+        Element::Ioif0 => Some(10),
+        Element::Ioif1 => Some(11),
+    }
+}
+
+const ELEMENT_SLOTS: usize = 12;
 
 /// Precomputed admissible routes for one (src, dst) ramp pair: at most
 /// two exist (the second only on an exact halfway tie), stored inline so
@@ -166,17 +198,40 @@ impl RouteSet {
 /// discrete-event loop:
 ///
 /// 1. [`Eib::submit`] queues a transfer request.
-/// 2. [`Eib::arbitrate`] grants every currently satisfiable request, in
-///    priority order (memory traffic first, then oldest first), and
-///    returns the grants tagged with the caller's tokens.
+/// 2. [`Eib::arbitrate`] (or [`Eib::arbitrate_into`], which reuses the
+///    caller's buffer) grants every currently satisfiable request, in
+///    priority order (memory traffic first, then oldest first, FIFO per
+///    ring direction), and returns the grants tagged with the caller's
+///    tokens.
 /// 3. If requests remain queued, [`Eib::next_release_after`] says when a
 ///    reservation next expires so the caller can schedule a re-arbitration
-///    event.
+///    event (a *kick*).
+///
+/// Both steps cost work proportional to what changes, not to what is
+/// queued:
+///
+/// - **Grant lanes.** Requests wait in four FIFO lanes, one per (touches
+///   the MIC or not) × (primary ring direction), each entry stamped with
+///   its submit sequence number. A pass merges its two direction lanes by
+///   sequence number, grants from the heads, and closes a lane at its
+///   first failure (head-of-line blocking), so a pass does one grant
+///   attempt per grant plus at most two failures.
+/// - **Release heap.** Under [`RingOccupancy::CircuitHold`] every grant
+///   pushes the reservation expiries it creates (`wire_done` and
+///   `delivered_at`) onto a min-heap; arbitration pops those already
+///   past, so the next release is a peek. A circuit-hold reservation is
+///   never overwritten before it expires, so the heap holds exactly the
+///   future expiries. Pipelined reservations can be overwritten early
+///   (a staggered window may start before the previous one ends), so
+///   that mode keeps scanning rings and ports.
 ///
 /// See the [crate-level example](crate).
 #[derive(Debug)]
 pub struct Eib {
     topology: Topology,
+    /// Element kind → ramp index (see [`element_slot`]); replaces a
+    /// linear search of the ring order per submit.
+    ramp_by_slot: [Option<usize>; ELEMENT_SLOTS],
     /// Dense `(src_ramp, dst_ramp)` route cache; `routes()` allocates,
     /// and arbitration consults the same handful of pairs millions of
     /// times per run.
@@ -186,7 +241,13 @@ pub struct Eib {
     send_free: Vec<Cycle>,
     recv_free: Vec<Cycle>,
     last_send_class: Vec<Option<FlowClass>>,
-    pending: VecDeque<Pending>,
+    /// Pending requests, indexed by [`lane_of`].
+    lanes: [VecDeque<Pending>; 4],
+    next_seq: u64,
+    /// Circuit-hold reservation expiries not yet passed by an arbitration.
+    releases: BinaryHeap<Reverse<Cycle>>,
+    /// The latest `now` whose expiries were popped from `releases`.
+    released_through: Cycle,
     stats: EibStats,
     ring_stats: Vec<RingStats>,
     faults: EibFaults,
@@ -238,15 +299,25 @@ impl Eib {
                 set.routes[..routes.len()].copy_from_slice(&routes);
             }
         }
+        let mut ramp_by_slot = [None; ELEMENT_SLOTS];
+        for (ramp, &e) in topology.elements().iter().enumerate() {
+            if let Some(slot) = element_slot(e) {
+                ramp_by_slot[slot] = Some(ramp);
+            }
+        }
         Eib {
             topology,
+            ramp_by_slot,
             route_table,
             cfg,
             rings,
             send_free: vec![Cycle::ZERO; n],
             recv_free: vec![Cycle::ZERO; n],
             last_send_class: vec![None; n],
-            pending: VecDeque::new(),
+            lanes: Default::default(),
+            next_seq: 0,
+            releases: BinaryHeap::new(),
+            released_through: Cycle::ZERO,
             stats: EibStats::default(),
             ring_stats: vec![RingStats::default(); ring_count],
             faults: EibFaults::default(),
@@ -290,25 +361,33 @@ impl Eib {
     pub fn submit(&mut self, now: Cycle, token: u64, req: TransferRequest) {
         // Resolve endpoints eagerly so errors point at the submitter —
         // and so arbitration never repeats the lookups.
-        let src = self.topology.ramp_of(req.src).expect("src not on bus").0;
-        let dst = self.topology.ramp_of(req.dst).expect("dst not on bus").0;
+        let src = self.ramp(req.src).expect("src not on bus");
+        let dst = self.ramp(req.dst).expect("dst not on bus");
         assert!(src != dst, "route requested from {} to itself", req.src);
         let n = self.topology.ramp_count();
         let dir = self.route_table[src * n + dst].routes[0].direction;
-        self.pending.push_back(Pending {
+        let lane = lane_of(req.src.is_mic() || req.dst.is_mic(), dir);
+        self.lanes[lane].push_back(Pending {
+            seq: self.next_seq,
             token,
             req,
             enqueued: now,
             src_ramp: src,
             dst_ramp: dst,
-            dir,
-            mic: req.src.is_mic() || req.dst.is_mic(),
         });
+        self.next_seq += 1;
+    }
+
+    fn ramp(&self, e: Element) -> Option<usize> {
+        match element_slot(e) {
+            Some(slot) => self.ramp_by_slot[slot],
+            None => self.topology.ramp_of(e).map(|r| r.0),
+        }
     }
 
     /// Whether any requests are waiting for a ring.
     pub fn has_pending(&self) -> bool {
-        !self.pending.is_empty()
+        self.lanes.iter().any(|lane| !lane.is_empty())
     }
 
     /// Grants every satisfiable pending request at `now`.
@@ -322,43 +401,48 @@ impl Eib {
     /// eight streams (the couples experiment) at the same aggregate
     /// demand.
     pub fn arbitrate(&mut self, now: Cycle) -> Vec<(u64, Grant)> {
-        if self.pending.is_empty() {
-            return Vec::new();
-        }
         let mut granted = Vec::new();
+        self.arbitrate_into(now, &mut granted);
+        granted
+    }
+
+    /// [`Eib::arbitrate`] into a caller-owned buffer: clears `out`, then
+    /// fills it with the grants in the same order, so a caller that
+    /// arbitrates on every event allocates once.
+    pub fn arbitrate_into(&mut self, now: Cycle, out: &mut Vec<(u64, Grant)>) {
+        out.clear();
+        while self.releases.peek().is_some_and(|&Reverse(t)| t <= now) {
+            self.releases.pop();
+        }
+        self.released_through = self.released_through.max(now);
         // Two passes: memory-priority first, then the rest.
-        for memory_pass in [true, false] {
-            let mut blocked_cw = false;
-            let mut blocked_ccw = false;
-            let mut i = 0;
-            while i < self.pending.len() {
-                let p = &self.pending[i];
-                if p.mic != memory_pass {
-                    i += 1;
-                    continue;
-                }
-                let candidate = p.req;
-                let (src, dst) = (p.src_ramp, p.dst_ramp);
-                let blocked = match p.dir {
-                    Direction::Clockwise => &mut blocked_cw,
-                    Direction::CounterClockwise => &mut blocked_ccw,
+        for pass in [MIC_LANES, OTHER_LANES] {
+            let mut open = [true, true];
+            loop {
+                let head = |k: usize| {
+                    self.lanes[pass + k]
+                        .front()
+                        .filter(|_| open[k])
+                        .map(|p| p.seq)
                 };
-                if *blocked {
-                    i += 1;
-                    continue;
-                }
-                if let Some(mut grant) = self.try_grant(now, &candidate, src, dst) {
-                    let p = self.pending.remove(i).expect("index in range");
+                let k = match (head(0), head(1)) {
+                    (Some(cw), Some(ccw)) => usize::from(ccw < cw),
+                    (Some(_), None) => 0,
+                    (None, Some(_)) => 1,
+                    (None, None) => break,
+                };
+                let p = self.lanes[pass + k].front().expect("open lane has a head");
+                let (req, src, dst) = (p.req, p.src_ramp, p.dst_ramp);
+                if let Some(mut grant) = self.try_grant(now, &req, src, dst) {
+                    let p = self.lanes[pass + k].pop_front().expect("head exists");
                     grant.waited = now.saturating_since(p.enqueued);
                     self.stats.wait_cycles += grant.waited;
-                    granted.push((p.token, grant));
+                    out.push((p.token, grant));
                 } else {
-                    *blocked = true;
-                    i += 1;
+                    open[k] = false;
                 }
             }
         }
-        granted
     }
 
     /// Attempts to grant one request immediately; reserves resources on
@@ -412,6 +496,10 @@ impl Eib {
                             continue;
                         }
                         ring.reserve(route.segments, now, delivered_at);
+                        self.releases.push(Reverse(wire_done));
+                        if delivered_at != wire_done {
+                            self.releases.push(Reverse(delivered_at));
+                        }
                     }
                     RingOccupancy::Pipelined => {
                         if !ring.route_free(route, now, self.cfg.hop_latency) {
@@ -448,6 +536,31 @@ impl Eib {
     /// rings and ports — the time at which a blocked request could next be
     /// granted. `None` when the bus is idle after `now`.
     pub fn next_release_after(&self, now: Cycle) -> Option<Cycle> {
+        // The heap holds every circuit-hold expiry after the last
+        // arbitration, so it answers any query from then on whose expiries
+        // at or before `now` are already popped. Pipelined occupancy, a
+        // query behind the last arbitration, or one ahead of it with stale
+        // entries on top, scans instead.
+        let heap_exact =
+            self.cfg.occupancy == RingOccupancy::CircuitHold && now >= self.released_through;
+        let reservation_next = match self.releases.peek() {
+            Some(&Reverse(t)) if heap_exact && t > now => Some(t),
+            None if heap_exact => None,
+            _ => self.scan_release_after(now),
+        };
+        // Fault windows open and close independently of reservations: a
+        // request blocked only by a ring outage must still get a wake-up
+        // at the window boundary.
+        let fault_next = self
+            .faults
+            .next_boundary_after(now.as_u64())
+            .map(Cycle::new);
+        reservation_next.into_iter().chain(fault_next).min()
+    }
+
+    /// The earliest ring or port reservation expiry strictly after `now`,
+    /// by scanning every segment and port.
+    fn scan_release_after(&self, now: Cycle) -> Option<Cycle> {
         let ring_next = self
             .rings
             .iter()
@@ -460,17 +573,7 @@ impl Eib {
             .copied()
             .filter(|&t| t > now)
             .min();
-        // Fault windows open and close independently of reservations: a
-        // request blocked only by a ring outage must still get a wake-up
-        // at the window boundary.
-        let fault_next = self
-            .faults
-            .next_boundary_after(now.as_u64())
-            .map(Cycle::new);
-        [ring_next, port_next, fault_next]
-            .into_iter()
-            .flatten()
-            .min()
+        ring_next.into_iter().chain(port_next).min()
     }
 }
 
