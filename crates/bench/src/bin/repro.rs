@@ -38,8 +38,8 @@
 //!   --trace-out <file>  record the 8-SPE cycle at the largest swept
 //!                       element size and write a Chrome tracing JSON
 //!                       (open with chrome://tracing or Perfetto); the
-//!                       JSON is streamed from a trace store, so --full
-//!                       scale runs in bounded memory
+//!                       JSON is streamed from a compact trace store
+//!                       (a few bytes per event), not an event buffer
 //!   --run-dir <dir>     record a queryable trace store for every run:
 //!                       one subdirectory per run key holding trace.bin
 //!                       (indexed, checksummed event log) and
@@ -104,7 +104,7 @@ use cellsim_core::experiments::{
 };
 use cellsim_core::perf::PerfBaseline;
 use cellsim_core::report::{Figure, MetricsTable, SpreadFigure};
-use cellsim_core::tracestore::{record_run_to, TraceStore, TRACE_FILE};
+use cellsim_core::tracestore::{TraceStore, TraceStoreWriter, TRACE_FILE};
 use cellsim_core::{CellSystem, FaultPlan, Placement, SyncPolicy, TransferPlan};
 use cellsim_kernels::roofline_figure;
 
@@ -651,9 +651,9 @@ fn check_perf(args: &Args, path: &Path) -> Result<bool, String> {
 /// as Chrome tracing JSON. The store is the source of truth: with
 /// `--run-dir` it is the run's persisted artifact (recorded through the
 /// executor, so a completed artifact is reused and the run key dedups
-/// against the figure sweeps); without, it is a temporary file deleted
-/// after the projection. Either way nothing buffers the whole event
-/// stream, so `--full` scale runs in bounded memory.
+/// against the figure sweeps); without, it is recorded into memory and
+/// dropped after the projection. Either way the whole run costs the
+/// store's few bytes per event, never a buffer of decoded events.
 fn write_chrome_trace(
     path: &Path,
     exec: &SweepExecutor,
@@ -703,10 +703,15 @@ fn write_chrome_trace(
             .map_err(|e| format!("recorded trace store: {e}"))?;
         (report.cycles, report.aggregate_gbps, store)
     } else {
-        let tmp = path.with_extension("store-tmp");
-        let (report, _) = record_run_to(system, &placement, &plan, &tmp)?;
-        let store = TraceStore::open(&tmp).map_err(|e| format!("recorded trace store: {e}"))?;
-        let _ = std::fs::remove_file(&tmp);
+        let mut writer = TraceStoreWriter::new(Vec::new());
+        let report = system
+            .try_run_with_sink(&placement, &plan, &mut writer)
+            .map_err(|failure| format!("trace run stalled: {failure}"))?;
+        let (bytes, _) = writer
+            .finalize(report.metrics.events, report.packets)
+            .map_err(|e| format!("recorded trace store: {e}"))?;
+        let store =
+            TraceStore::from_bytes(bytes).map_err(|e| format!("recorded trace store: {e}"))?;
         (report.cycles, report.aggregate_gbps, store)
     };
 

@@ -168,9 +168,20 @@ fn bad(message: impl Into<String>) -> BaselineError {
     }
 }
 
-/// Rounds through the file's 6-decimal representation so collected and
-/// re-parsed values compare bit-identically.
-fn round6(x: f64) -> f64 {
+/// A missing or malformed field in a gate file (`BENCH_baseline.json`
+/// or `BENCH_perf.json`); each file's own error type wraps the message.
+#[derive(Debug)]
+pub(crate) struct FieldError(pub(crate) String);
+
+impl From<FieldError> for BaselineError {
+    fn from(e: FieldError) -> BaselineError {
+        bad(e.0)
+    }
+}
+
+/// Rounds through the gate files' 6-decimal representation so collected
+/// and re-parsed values compare bit-identically.
+pub(crate) fn round6(x: f64) -> f64 {
     format!("{x:.6}")
         .parse()
         .expect("formatted float re-parses")
@@ -390,12 +401,6 @@ impl Baseline {
     /// Serializes the baseline as deterministic JSON (keys in fixed
     /// order, floats at 6 decimals, one line).
     pub fn to_json(&self) -> String {
-        let sizes: Vec<String> = self
-            .experiment
-            .dma_elem_sizes
-            .iter()
-            .map(u32::to_string)
-            .collect();
         let figures: Vec<String> = self
             .figures
             .iter()
@@ -487,16 +492,11 @@ impl Baseline {
             .collect();
         format!(
             "{{\"version\":{},\"config_fingerprint\":{},\"tolerance\":{:.6},\
-             \"experiment\":{{\"volume_per_spe\":{},\"dma_elem_sizes\":[{}],\
-             \"placements\":{},\"seed\":{}}},\
-             \"figures\":[{}],\"spreads\":[{}],\"latency\":[{}]}}\n",
+             \"experiment\":{},\"figures\":[{}],\"spreads\":[{}],\"latency\":[{}]}}\n",
             BASELINE_VERSION,
             self.config_fingerprint,
             self.tolerance,
-            self.experiment.volume_per_spe,
-            sizes.join(","),
-            self.experiment.placements,
-            self.experiment.seed,
+            experiment_json(&self.experiment),
             figures.join(","),
             spreads.join(","),
             latency.join(",")
@@ -516,27 +516,7 @@ impl Baseline {
                 "unsupported baseline version {version} (expected {BASELINE_VERSION})"
             )));
         }
-        let experiment = doc
-            .get("experiment")
-            .ok_or_else(|| bad("missing 'experiment'"))?;
-        let sizes = experiment
-            .get("dma_elem_sizes")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| bad("missing 'experiment.dma_elem_sizes'"))?
-            .iter()
-            .map(|v| {
-                v.as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or_else(|| bad("bad element size"))
-            })
-            .collect::<Result<Vec<u32>, _>>()?;
-        let cfg = ExperimentConfig {
-            volume_per_spe: field_u64(experiment, "volume_per_spe")?,
-            dma_elem_sizes: sizes,
-            placements: usize::try_from(field_u64(experiment, "placements")?)
-                .map_err(|_| bad("placements out of range"))?,
-            seed: field_u64(experiment, "seed")?,
-        };
+        let cfg = parse_experiment(&doc)?;
         let figures = doc
             .get("figures")
             .and_then(JsonValue::as_array)
@@ -649,23 +629,62 @@ impl Baseline {
     }
 }
 
-fn field_u64(v: &JsonValue, key: &str) -> Result<u64, BaselineError> {
+/// The `"experiment"` object both gate files embed: the protocol a
+/// check re-runs.
+pub(crate) fn experiment_json(cfg: &ExperimentConfig) -> String {
+    let sizes: Vec<String> = cfg.dma_elem_sizes.iter().map(u32::to_string).collect();
+    format!(
+        "{{\"volume_per_spe\":{},\"dma_elem_sizes\":[{}],\"placements\":{},\"seed\":{}}}",
+        cfg.volume_per_spe,
+        sizes.join(","),
+        cfg.placements,
+        cfg.seed
+    )
+}
+
+/// Parses `doc`'s `"experiment"` object (see [`experiment_json`]).
+pub(crate) fn parse_experiment(doc: &JsonValue) -> Result<ExperimentConfig, FieldError> {
+    let err = |message: &str| FieldError(message.to_string());
+    let experiment = doc
+        .get("experiment")
+        .ok_or_else(|| err("missing 'experiment'"))?;
+    let sizes = experiment
+        .get("dma_elem_sizes")
+        .and_then(JsonValue::as_array)
+        .ok_or_else(|| err("missing 'experiment.dma_elem_sizes'"))?
+        .iter()
+        .map(|v| {
+            v.as_u64()
+                .and_then(|n| u32::try_from(n).ok())
+                .ok_or_else(|| err("bad element size"))
+        })
+        .collect::<Result<Vec<u32>, _>>()?;
+    Ok(ExperimentConfig {
+        volume_per_spe: field_u64(experiment, "volume_per_spe")?,
+        dma_elem_sizes: sizes,
+        placements: usize::try_from(field_u64(experiment, "placements")?)
+            .map_err(|_| err("placements out of range"))?,
+        seed: field_u64(experiment, "seed")?,
+    })
+}
+
+pub(crate) fn field_u64(v: &JsonValue, key: &str) -> Result<u64, FieldError> {
     v.get(key)
         .and_then(JsonValue::as_u64)
-        .ok_or_else(|| bad(format!("missing or non-integer '{key}'")))
+        .ok_or_else(|| FieldError(format!("missing or non-integer '{key}'")))
 }
 
-fn field_f64(v: &JsonValue, key: &str) -> Result<f64, BaselineError> {
+pub(crate) fn field_f64(v: &JsonValue, key: &str) -> Result<f64, FieldError> {
     v.get(key)
         .and_then(JsonValue::as_f64)
-        .ok_or_else(|| bad(format!("missing or non-numeric '{key}'")))
+        .ok_or_else(|| FieldError(format!("missing or non-numeric '{key}'")))
 }
 
-fn field_str(v: &JsonValue, key: &str) -> Result<String, BaselineError> {
+pub(crate) fn field_str(v: &JsonValue, key: &str) -> Result<String, FieldError> {
     v.get(key)
         .and_then(JsonValue::as_str)
         .map(str::to_string)
-        .ok_or_else(|| bad(format!("missing or non-string '{key}'")))
+        .ok_or_else(|| FieldError(format!("missing or non-string '{key}'")))
 }
 
 impl FigureDigest {
@@ -781,6 +800,13 @@ mod tests {
         let b = sample();
         let parsed = Baseline::from_json(&b.to_json()).expect("round trip");
         assert_eq!(parsed, b);
+    }
+
+    #[test]
+    fn committed_baseline_re_serializes_byte_for_byte() {
+        let text = include_str!("../../../BENCH_baseline.json");
+        let parsed = Baseline::from_json(text).expect("committed baseline parses");
+        assert_eq!(parsed.to_json(), text);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::fabric::{self, FabricReport};
 use crate::failure::RunFailure;
 use crate::placement::Placement;
 use crate::plan::TransferPlan;
-use crate::tracing::{FabricTrace, TraceSink};
+use crate::tracing::TraceSink;
 
 /// Every tunable of the simulated blade in one place.
 ///
@@ -154,7 +154,7 @@ impl CellSystem {
         placement: &Placement,
         plan: &TransferPlan,
     ) -> Result<FabricReport, RunFailure> {
-        fabric::run_plan(&self.config, self.faults(), placement, plan, None)
+        fabric::run_plan(&self.config, self.faults(), placement, plan, None, None)
     }
 
     /// Runs a plan *and moves real bytes*: every delivered packet copies
@@ -172,67 +172,18 @@ impl CellSystem {
         plan: &TransferPlan,
         state: &mut MachineState,
     ) -> Result<FabricReport, RunFailure> {
-        fabric::run_plan(&self.config, self.faults(), placement, plan, Some(state))
-    }
-
-    /// Runs a plan while recording a [`FabricTrace`] of every packet
-    /// phase, for post-hoc analysis (throughput timelines, ring shares,
-    /// hop statistics). Timing is identical to [`CellSystem::try_run`].
-    ///
-    /// # Errors
-    ///
-    /// [`RunFailure::Stall`] under the same conditions as
-    /// [`CellSystem::try_run`]; the partial trace is dropped.
-    pub fn try_run_traced(
-        &self,
-        placement: &Placement,
-        plan: &TransferPlan,
-    ) -> Result<(FabricReport, FabricTrace), RunFailure> {
-        let mut trace = FabricTrace::new();
-        let report = fabric::run_plan_traced(
+        fabric::run_plan(
             &self.config,
             self.faults(),
             placement,
             plan,
+            Some(state),
             None,
-            Some(&mut trace),
-        )?;
-        Ok((report, trace))
-    }
-
-    /// Like [`CellSystem::try_run_traced`], but with an explicit
-    /// trace-buffer capacity. The default capacity overflows at paper
-    /// scale (a `--full` run generates ~8M events); a complete trace
-    /// needs room for up to four phases per bus packet.
-    ///
-    /// # Errors
-    ///
-    /// [`RunFailure::Stall`] under the same conditions as
-    /// [`CellSystem::try_run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn try_run_traced_with_capacity(
-        &self,
-        placement: &Placement,
-        plan: &TransferPlan,
-        capacity: usize,
-    ) -> Result<(FabricReport, FabricTrace), RunFailure> {
-        let mut trace = FabricTrace::with_capacity(capacity);
-        let report = fabric::run_plan_traced(
-            &self.config,
-            self.faults(),
-            placement,
-            plan,
-            None,
-            Some(&mut trace),
-        )?;
-        Ok((report, trace))
+        )
     }
 
     /// Runs a plan streaming every packet-phase event into `sink` — the
-    /// unbounded-trace entry point behind the persistent trace store
+    /// one way to trace a run, behind the persistent trace store
     /// ([`crate::tracestore`]). Timing is identical to
     /// [`CellSystem::try_run`]: sinks observe the simulation, they never
     /// perturb it.
@@ -248,7 +199,7 @@ impl CellSystem {
         plan: &TransferPlan,
         sink: &mut dyn TraceSink,
     ) -> Result<FabricReport, RunFailure> {
-        fabric::run_plan_traced(
+        fabric::run_plan(
             &self.config,
             self.faults(),
             placement,

@@ -241,7 +241,7 @@ struct Fabric<'d> {
     /// Optional functional storage: when present, every delivered packet
     /// copies real bytes.
     data: Option<&'d mut MachineState>,
-    /// Optional event sink (in-memory trace or streaming store writer).
+    /// Optional event sink (the streaming trace store writer).
     trace: Option<&'d mut (dyn TraceSink + 'd)>,
 }
 
@@ -431,7 +431,7 @@ impl Fabric<'_> {
         self.peak_live_packets = self.peak_live_packets.max(live);
         let cmd_done = self.cmdbus.issue(now);
         if let Some(t) = self.trace.as_mut() {
-            t.record(now, trace_meta(&info), FabricEvent::CommandIssued { spe });
+            t.record(now, trace_meta(&info), FabricEvent::CommandIssued);
         }
         sched.schedule(cmd_done, Ev::CmdDone(id));
     }
@@ -656,19 +656,17 @@ impl Fabric<'_> {
         let info = self.packets[id as usize];
         self.packets[id as usize].phase = PacketPhase::Retired;
         self.free_slots.push(id); // no pending event references `id` now
-                                  // Delivered is recorded at retirement, not wire arrival, so the
-                                  // event count equals `FabricReport::packets` by construction —
-                                  // a mem-PUT abandoned between delivery and its DRAM write never
-                                  // produces a Delivered event, exactly as it never counts as a
-                                  // delivered packet.
+
+        // Delivered is recorded at retirement, not wire arrival, so the
+        // event count equals `FabricReport::packets` by construction — a
+        // mem-PUT abandoned between delivery and its DRAM write never
+        // produces a Delivered event, exactly as it never counts as a
+        // delivered packet.
         if let Some(t) = self.trace.as_mut() {
             t.record(
                 now,
                 trace_meta(&info),
-                FabricEvent::Delivered {
-                    spe: info.spe,
-                    bytes: info.bytes,
-                },
+                FabricEvent::Delivered { bytes: info.bytes },
             );
         }
         let ctx = &mut self.spes[info.spe];
@@ -731,7 +729,9 @@ impl Model for FabricModel<'_, '_> {
     }
 }
 
-/// Runs `plan` on the machine described by `cfg` under `placement`.
+/// Runs `plan` on the machine described by `cfg` under `placement`,
+/// copying delivered payloads through `data` (if any) and streaming
+/// packet-phase events into `trace` (if any).
 ///
 /// # Errors
 ///
@@ -739,17 +739,7 @@ impl Model for FabricModel<'_, '_> {
 /// horizon, churns events without time advancing, or drains its event
 /// queue with SPEs still holding work. The diagnosis snapshots the stuck
 /// machine; no partial report is produced.
-pub(crate) fn run_plan(
-    cfg: &CellConfig,
-    faults: Option<&FaultPlan>,
-    placement: &Placement,
-    plan: &TransferPlan,
-    data: Option<&mut MachineState>,
-) -> Result<FabricReport, RunFailure> {
-    run_plan_traced(cfg, faults, placement, plan, data, None)
-}
-
-pub(crate) fn run_plan_traced<'d>(
+pub(crate) fn run_plan<'d>(
     cfg: &CellConfig,
     faults: Option<&FaultPlan>,
     placement: &Placement,

@@ -80,7 +80,7 @@ pub use placement::Placement;
 pub use plan::{
     PlanError, Planned, SpeScript, SyncPolicy, TransferPlan, TransferPlanBuilder, LS_WINDOW,
 };
-pub use tracing::{FabricEvent, FabricTrace, TraceMeta, TraceSink, TraceTruncated};
+pub use tracing::{FabricEvent, TraceMeta, TraceSink};
 
 /// Number of SPEs on a CBE.
 pub const SPE_COUNT: usize = 8;

@@ -3,12 +3,11 @@
 //! Every fabric run accumulates pure counters inline — per-SPE stall
 //! breakdowns, per-ring traffic, per-bank occupancy, and the MFC
 //! outstanding-slot histogram — and carries them in
-//! [`FabricReport::metrics`](crate::FabricReport). Unlike a
-//! [`FabricTrace`](crate::FabricTrace), which records individual events
-//! into a bounded buffer and can overflow at paper scale, metrics cost
-//! O(1) per event, never truncate, and are part of the deterministic
-//! report: bit-identical for any `--jobs` count and cached alongside the
-//! bandwidth numbers.
+//! [`FabricReport::metrics`](crate::FabricReport). Unlike a trace store
+//! ([`crate::tracestore`]), which records every packet phase when asked,
+//! metrics cost O(1) per event, need no sink, and are part of the
+//! deterministic report: bit-identical for any `--jobs` count and cached
+//! alongside the bandwidth numbers.
 //!
 //! The counters are chosen to *explain* the paper's results the way the
 //! paper does: the outstanding-slot histogram is the Little's-law account

@@ -47,15 +47,12 @@ use cellsim_kernel::hash::{fnv1a, fnv1a_extend, FNV1A_BASIS};
 use cellsim_kernel::varint::{decode_u64, encode_u64, MAX_VARINT_BYTES};
 use cellsim_kernel::{Cycle, MachineClock};
 
-use crate::config::CellSystem;
 use crate::diskcache::{key_fingerprint, key_json};
 use crate::exec::{RunKey, RunSpec};
 use crate::fabric::FabricReport;
 use crate::failure::RunFailure;
 use crate::json;
 use crate::latency::DmaPathClass;
-use crate::placement::Placement;
-use crate::plan::TransferPlan;
 use crate::tracing::{FabricEvent, TraceMeta, TraceSink};
 
 /// Store file magic.
@@ -502,7 +499,7 @@ impl<W: Write> TraceSink for TraceStoreWriter<W> {
     fn record(&mut self, at: Cycle, meta: TraceMeta, event: FabricEvent) {
         let at = at.as_u64();
         let (kind, aux, hops, bytes) = match event {
-            FabricEvent::CommandIssued { .. } => (TraceKind::Issue, 0u8, 0u8, 0u32),
+            FabricEvent::CommandIssued => (TraceKind::Issue, 0u8, 0u8, 0u32),
             FabricEvent::MemoryAccess { bank, bytes } => (TraceKind::Mem, bank as u8, 0, bytes),
             FabricEvent::Granted { ring, hops, bytes } => (
                 TraceKind::Grant,
@@ -510,7 +507,7 @@ impl<W: Write> TraceSink for TraceStoreWriter<W> {
                 u8::try_from(hops).unwrap_or(u8::MAX),
                 bytes,
             ),
-            FabricEvent::Delivered { bytes, .. } => {
+            FabricEvent::Delivered { bytes } => {
                 self.delivered_bytes += u64::from(bytes);
                 (TraceKind::Deliver, 0, 0, bytes)
             }
@@ -1001,40 +998,6 @@ impl RunDir {
     }
 }
 
-/// Records one standalone run into a store file at `path` — the
-/// `--trace-out`-without-`--run-dir` path, where the store is a
-/// temporary vehicle for the Chrome projection.
-///
-/// # Errors
-///
-/// `Err(Ok(failure))` is never constructed; the outer error is a
-/// formatted message naming what failed (stall or I/O), matching the
-/// CLI's error reporting.
-pub fn record_run_to(
-    system: &CellSystem,
-    placement: &Placement,
-    plan: &TransferPlan,
-    path: &Path,
-) -> Result<(FabricReport, StoreSummary), String> {
-    let file = crate::iofault::create_file(path)
-        .map_err(|e| format!("could not create {}: {e}", path.display()))?;
-    let mut writer = TraceStoreWriter::new(io::BufWriter::new(file));
-    let report = system
-        .try_run_with_sink(placement, plan, &mut writer)
-        .map_err(|failure| {
-            let _ = fs::remove_file(path);
-            format!("trace run stalled: {failure}")
-        })?;
-    let summary = writer
-        .finalize(report.metrics.events, report.packets)
-        .map_err(|e| {
-            let _ = fs::remove_file(path);
-            format!("could not write {}: {e}", path.display())
-        })?
-        .1;
-    Ok((report, summary))
-}
-
 // ---- manifests ----------------------------------------------------------
 
 /// The canonical one-line manifest linking a run's identity, metrics
@@ -1175,8 +1138,10 @@ fn raw_key_json(text: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CellSystem;
     use crate::exec::Workload;
-    use crate::plan::SyncPolicy;
+    use crate::placement::Placement;
+    use crate::plan::{SyncPolicy, TransferPlan};
     use std::sync::Arc;
 
     fn tmp_dir(name: &str) -> PathBuf {

@@ -1,32 +1,25 @@
-//! Fabric tracing: what the machine did, cycle by cycle.
+//! The fabric's trace seam: what the machine did, packet phase by packet
+//! phase.
 //!
-//! [`crate::CellSystem::try_run_traced`] records a [`FabricTrace`]: one event
-//! per packet phase (command issue, memory access, ring grant, delivery).
-//! The analysis methods turn that into the quantities an architect asks
-//! for — a throughput timeline, per-ring grant shares, per-SPE delivery
-//! breakdowns — without re-running the simulation.
-//!
-//! The trace buffer is bounded; once it fills, later events are counted
-//! but not stored ([`FabricTrace::dropped`]). A paper-scale run (32 MiB ×
-//! 8 SPEs) generates ~8M events and overflows the default capacity, so
-//! every aggregate analysis method returns `Err(`[`TraceTruncated`]`)`
-//! rather than a silently-partial answer; size the buffer with
-//! [`crate::CellSystem::try_run_traced_with_capacity`] when you need complete
-//! aggregates.
-
-use std::fmt;
+//! [`crate::CellSystem::try_run_with_sink`] streams one [`FabricEvent`]
+//! per packet phase (command issue, memory access, ring grant, delivery)
+//! into a [`TraceSink`]. The one sink is the streaming
+//! [`TraceStoreWriter`](crate::tracestore::TraceStoreWriter); its
+//! [`TraceStore`](crate::tracestore::TraceStore) answers the post-hoc
+//! questions (ring shares, hop counts, throughput over time) by scanning
+//! the recorded events, and the always-on
+//! [`FabricMetrics`](crate::FabricMetrics) carry the per-ring, per-bank
+//! and per-SPE byte totals without any trace at all.
 
 use cellsim_eib::RingId;
-use cellsim_kernel::trace::Trace;
-use cellsim_kernel::{Cycle, MachineClock};
+use cellsim_kernel::Cycle;
 use cellsim_mem::BankId;
 
 use crate::latency::DmaPathClass;
 
 /// Context the fabric knows at every trace point but [`FabricEvent`]
 /// does not carry: the initiating logical SPE and the DMA path class of
-/// the packet. The in-memory [`FabricTrace`] ignores it (its analyses
-/// predate it); the persistent trace store indexes on it.
+/// the packet. The trace store indexes on both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceMeta {
     /// Initiating logical SPE.
@@ -36,31 +29,20 @@ pub struct TraceMeta {
 }
 
 /// Where the fabric sends trace events. One simulation drives at most
-/// one sink; the two implementations are the bounded in-memory
-/// [`FabricTrace`] (post-hoc analyses) and the streaming
-/// [`TraceStoreWriter`](crate::tracestore::TraceStoreWriter) (persistent
-/// per-run artifacts, no full-run buffering). Sinks must be infallible:
-/// a sink that can fail (I/O) latches its error internally and reports
-/// it when finalized, never mid-run.
+/// one sink. Sinks must be infallible: a sink that can fail (I/O)
+/// latches its error internally and reports it when finalized, never
+/// mid-run.
 pub trait TraceSink {
     /// Records one event at simulated time `at`.
     fn record(&mut self, at: Cycle, meta: TraceMeta, event: FabricEvent);
 }
 
-impl TraceSink for FabricTrace {
-    fn record(&mut self, at: Cycle, _meta: TraceMeta, event: FabricEvent) {
-        self.trace.record(at, event);
-    }
-}
-
-/// One traced fabric occurrence.
+/// One traced fabric occurrence. The initiating SPE travels in the
+/// accompanying [`TraceMeta`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FabricEvent {
     /// An MFC put a packet on the command bus.
-    CommandIssued {
-        /// Initiating logical SPE.
-        spe: usize,
-    },
+    CommandIssued,
     /// A DRAM access was queued.
     MemoryAccess {
         /// Which bank served it.
@@ -83,259 +65,70 @@ pub enum FabricEvent {
     /// equals [`FabricReport::packets`](crate::FabricReport::packets)
     /// exactly, even when a fault plan abandons packets mid-flight.
     Delivered {
-        /// Initiating logical SPE.
-        spe: usize,
         /// Payload size.
         bytes: u32,
     },
 }
 
-/// The trace buffer overflowed: aggregate analyses over it would be
-/// silently wrong, so they refuse instead. Re-run with a larger capacity
-/// ([`crate::CellSystem::try_run_traced_with_capacity`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceTruncated {
-    /// Events recorded before the buffer filled.
-    pub recorded: usize,
-    /// Events that arrived after the buffer filled and were not stored.
-    pub dropped: u64,
-}
-
-impl fmt::Display for TraceTruncated {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "trace truncated: {} events dropped after {} recorded; \
-             re-run with a larger trace capacity",
-            self.dropped, self.recorded
-        )
-    }
-}
-
-impl std::error::Error for TraceTruncated {}
-
-/// A recorded fabric run.
-#[derive(Debug, Clone, Default)]
-pub struct FabricTrace {
-    pub(crate) trace: Trace<FabricEvent>,
-}
-
-impl FabricTrace {
-    /// An empty trace with the default capacity.
-    pub fn new() -> FabricTrace {
-        FabricTrace::default()
-    }
-
-    /// An empty trace that stores up to `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> FabricTrace {
-        FabricTrace {
-            trace: Trace::with_capacity(capacity),
-        }
-    }
-
-    /// The raw events, in time order.
-    pub fn events(&self) -> &[cellsim_kernel::trace::TraceEvent<FabricEvent>] {
-        self.trace.events()
-    }
-
-    /// Events that arrived after the trace filled.
-    pub fn dropped(&self) -> u64 {
-        self.trace.dropped()
-    }
-
-    /// `Err` iff the trace overflowed and aggregates would be partial.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceTruncated`] when any event was dropped.
-    pub fn require_complete(&self) -> Result<(), TraceTruncated> {
-        if self.trace.dropped() > 0 {
-            Err(TraceTruncated {
-                recorded: self.trace.events().len(),
-                dropped: self.trace.dropped(),
-            })
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Delivered-bytes throughput (GB/s) per `bucket_cycles` window —
-    /// the time-resolved version of the experiment's single number.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceTruncated`] when events were dropped: a timeline over a
-    /// truncated trace would silently undercount the tail of the run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_cycles` is zero.
-    pub fn throughput_timeline(
-        &self,
-        clock: &MachineClock,
-        bucket_cycles: u64,
-    ) -> Result<Vec<(Cycle, f64)>, TraceTruncated> {
-        assert!(bucket_cycles > 0, "bucket must be non-zero");
-        self.require_complete()?;
-        let mut buckets: Vec<u64> = Vec::new();
-        for e in self.trace.events() {
-            if let FabricEvent::Delivered { bytes, .. } = e.kind {
-                let idx = (e.at.as_u64() / bucket_cycles) as usize;
-                if buckets.len() <= idx {
-                    buckets.resize(idx + 1, 0);
-                }
-                buckets[idx] += u64::from(bytes);
-            }
-        }
-        Ok(buckets
-            .into_iter()
-            .enumerate()
-            .map(|(i, b)| {
-                (
-                    Cycle::new(i as u64 * bucket_cycles),
-                    clock.gbytes_per_sec(b, bucket_cycles),
-                )
-            })
-            .collect())
-    }
-
-    /// Bytes granted per ring: how evenly the arbiter spread the load.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceTruncated`] when events were dropped.
-    pub fn ring_shares(&self) -> Result<Vec<(RingId, u64)>, TraceTruncated> {
-        self.require_complete()?;
-        let mut shares: Vec<(RingId, u64)> = Vec::new();
-        for e in self.trace.events() {
-            if let FabricEvent::Granted { ring, bytes, .. } = e.kind {
-                match shares.iter_mut().find(|(r, _)| *r == ring) {
-                    Some((_, b)) => *b += u64::from(bytes),
-                    None => shares.push((ring, u64::from(bytes))),
-                }
-            }
-        }
-        shares.sort_by_key(|&(r, _)| r);
-        Ok(shares)
-    }
-
-    /// Mean hop count over all grants — the placement-quality metric.
-    ///
-    /// Unlike the byte-exact aggregates, a mean over the recorded prefix
-    /// is still a meaningful estimate, so this method stays infallible on
-    /// a truncated trace; check [`FabricTrace::dropped`] if exactness
-    /// matters.
-    pub fn mean_hops(&self) -> f64 {
-        let (sum, n) = self
-            .trace
-            .events()
-            .iter()
-            .filter_map(|e| match e.kind {
-                FabricEvent::Granted { hops, .. } => Some(hops as u64),
-                _ => None,
-            })
-            .fold((0u64, 0u64), |(s, n), h| (s + h, n + 1));
-        if n == 0 {
-            0.0
-        } else {
-            sum as f64 / n as f64
-        }
-    }
-
-    /// Delivered bytes per logical SPE.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceTruncated`] when events were dropped.
-    pub fn per_spe_bytes(&self) -> Result<Vec<(usize, u64)>, TraceTruncated> {
-        self.require_complete()?;
-        let mut out: Vec<(usize, u64)> = Vec::new();
-        for e in self.trace.events() {
-            if let FabricEvent::Delivered { spe, bytes } = e.kind {
-                match out.iter_mut().find(|(s, _)| *s == spe) {
-                    Some((_, b)) => *b += u64::from(bytes),
-                    None => out.push((spe, u64::from(bytes))),
-                }
-            }
-        }
-        out.sort_by_key(|&(s, _)| s);
-        Ok(out)
-    }
-
-    /// Bytes served per memory bank.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceTruncated`] when events were dropped.
-    pub fn bank_bytes(&self) -> Result<Vec<(BankId, u64)>, TraceTruncated> {
-        self.require_complete()?;
-        let mut out: Vec<(BankId, u64)> = Vec::new();
-        for e in self.trace.events() {
-            if let FabricEvent::MemoryAccess { bank, bytes } = e.kind {
-                match out.iter_mut().find(|(b, _)| *b == bank) {
-                    Some((_, acc)) => *acc += u64::from(bytes),
-                    None => out.push((bank, u64::from(bytes))),
-                }
-            }
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::tracestore::{StoreEvent, TraceFilter, TraceKind, TraceStore, TraceStoreWriter};
     use crate::{CellSystem, Placement, SyncPolicy, TransferPlan};
 
-    fn traced_run() -> FabricTrace {
+    /// Every event of a two-SPE memory GET run, recorded through the
+    /// trace seam into an in-memory store.
+    fn traced_run() -> Vec<StoreEvent> {
         let sys = CellSystem::blade();
         let plan = TransferPlan::builder()
             .get_from_memory(0, 256 << 10, 16 * 1024, SyncPolicy::AfterAll)
             .get_from_memory(1, 256 << 10, 16 * 1024, SyncPolicy::AfterAll)
             .build()
             .unwrap();
-        let (_, trace) = sys.try_run_traced(&Placement::identity(), &plan).unwrap();
-        trace
+        let mut writer = TraceStoreWriter::new(Vec::new());
+        let report = sys
+            .try_run_with_sink(&Placement::identity(), &plan, &mut writer)
+            .unwrap();
+        let (bytes, _) = writer
+            .finalize(report.metrics.events, report.packets)
+            .unwrap();
+        let store = TraceStore::from_bytes(bytes).unwrap();
+        let mut events = Vec::new();
+        store
+            .for_each(&TraceFilter::default(), |e| {
+                events.push(*e);
+                Ok(())
+            })
+            .unwrap();
+        events
+    }
+
+    /// Sums event bytes of `kind`, keyed by `key`, in key order.
+    fn bytes_by(
+        events: &[StoreEvent],
+        kind: TraceKind,
+        key: fn(&StoreEvent) -> u8,
+    ) -> Vec<(u8, u64)> {
+        let mut totals = std::collections::BTreeMap::new();
+        for e in events.iter().filter(|e| e.kind == kind) {
+            *totals.entry(key(e)).or_insert(0) += u64::from(e.bytes);
+        }
+        totals.into_iter().collect()
     }
 
     #[test]
     fn trace_captures_every_packet_phase() {
-        let trace = traced_run();
-        let events = trace.events();
-        let count =
-            |pred: fn(&FabricEvent) -> bool| events.iter().filter(|e| pred(&e.kind)).count();
+        let events = traced_run();
+        let count = |kind: TraceKind| events.iter().filter(|e| e.kind == kind).count();
         // 512 KiB / 128 B = 4096 packets, each with one of each phase.
-        assert_eq!(
-            count(|k| matches!(k, FabricEvent::CommandIssued { .. })),
-            4096
-        );
-        assert_eq!(count(|k| matches!(k, FabricEvent::Delivered { .. })), 4096);
-        assert_eq!(count(|k| matches!(k, FabricEvent::Granted { .. })), 4096);
-        assert_eq!(trace.dropped(), 0);
-    }
-
-    #[test]
-    fn timeline_integrates_to_total_bytes() {
-        let trace = traced_run();
-        let clock = MachineClock::default();
-        let bucket = 1000;
-        let timeline = trace.throughput_timeline(&clock, bucket).unwrap();
-        assert!(!timeline.is_empty());
-        let total: f64 = timeline
-            .iter()
-            .map(|(_, gbps)| gbps * clock.seconds(bucket) * 1e9)
-            .sum();
-        assert!((total - 512.0 * 1024.0).abs() < 1.0, "total={total}");
+        assert_eq!(count(TraceKind::Issue), 4096);
+        assert_eq!(count(TraceKind::Mem), 4096);
+        assert_eq!(count(TraceKind::Grant), 4096);
+        assert_eq!(count(TraceKind::Deliver), 4096);
     }
 
     #[test]
     fn banks_split_the_two_spe_load() {
-        let trace = traced_run();
-        let banks = trace.bank_bytes().unwrap();
+        let banks = bytes_by(&traced_run(), TraceKind::Mem, |e| e.aux);
         assert_eq!(banks.len(), 2, "round-robin regions use both banks");
         for (_, bytes) in banks {
             assert_eq!(bytes, 256 << 10);
@@ -344,58 +137,9 @@ mod tests {
 
     #[test]
     fn per_spe_accounting_matches_the_plan() {
-        let trace = traced_run();
         assert_eq!(
-            trace.per_spe_bytes().unwrap(),
+            bytes_by(&traced_run(), TraceKind::Deliver, |e| e.spe),
             vec![(0, 256 << 10), (1, 256 << 10)]
         );
-    }
-
-    #[test]
-    fn mean_hops_is_positive_and_small() {
-        let trace = traced_run();
-        let h = trace.mean_hops();
-        assert!((1.0..=6.0).contains(&h), "h={h}");
-    }
-
-    #[test]
-    fn truncated_trace_refuses_aggregate_analysis() {
-        // A tiny buffer overflows immediately; before this regression
-        // test, the analyses silently returned prefix-only aggregates.
-        let sys = CellSystem::blade();
-        let plan = TransferPlan::builder()
-            .get_from_memory(0, 64 << 10, 16 * 1024, SyncPolicy::AfterAll)
-            .build()
-            .unwrap();
-        let (report, trace) = sys
-            .try_run_traced_with_capacity(&Placement::identity(), &plan, 8)
-            .unwrap();
-        assert!(trace.dropped() > 0, "64 KiB must overflow 8 events");
-        let err = trace.per_spe_bytes().unwrap_err();
-        assert_eq!(err.recorded, 8);
-        assert!(err.dropped > 0);
-        assert!(trace.bank_bytes().is_err());
-        assert!(trace.ring_shares().is_err());
-        assert!(trace
-            .throughput_timeline(&MachineClock::default(), 1000)
-            .is_err());
-        // The always-on metrics are unaffected by trace truncation.
-        assert_eq!(report.metrics.per_spe[0].occupancy_cycles.len(), 9);
-    }
-
-    #[test]
-    fn sized_capacity_keeps_the_trace_complete() {
-        let sys = CellSystem::blade();
-        let plan = TransferPlan::builder()
-            .get_from_memory(0, 64 << 10, 16 * 1024, SyncPolicy::AfterAll)
-            .build()
-            .unwrap();
-        // 512 packets × ≤4 phases each.
-        let (_, trace) = sys
-            .try_run_traced_with_capacity(&Placement::identity(), &plan, 4 * 512)
-            .unwrap();
-        assert_eq!(trace.dropped(), 0);
-        assert!(trace.require_complete().is_ok());
-        assert_eq!(trace.per_spe_bytes().unwrap(), vec![(0, 64 << 10)]);
     }
 }

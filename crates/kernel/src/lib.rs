@@ -45,7 +45,6 @@ pub mod hash;
 pub mod json;
 pub mod rng;
 pub mod stats;
-pub mod trace;
 pub mod varint;
 
 pub use engine::{Model, RunOutcome, Scheduler, Simulation};

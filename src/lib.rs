@@ -60,9 +60,9 @@ pub use cellsim_workloads as workloads;
 pub use cellsim_core::{
     baseline, diskcache, exec, experiments, failure, json, latency, metrics, report, tracestore,
     BankFaults, BankMetrics, CellConfig, CellSystem, DerateWindow, DmaPathClass, EibFaults,
-    FabricEvent, FabricMetrics, FabricReport, FabricTrace, FaultPlan, FaultPlanError, FaultStats,
+    FabricEvent, FabricMetrics, FabricReport, FaultPlan, FaultPlanError, FaultStats,
     LatencyHistogram, LatencyMetrics, MachineState, MetricsSummary, MfcFaults, PacketPhase,
     Placement, PlanError, RetryPolicy, RingOutage, RunFailure, SpeMetrics, SpeScript, SpeStall,
-    StallDiagnosis, StallKind, SyncPolicy, TraceMeta, TraceSink, TraceTruncated, TransferPlan,
-    TransferPlanBuilder, Window, REGION_STRIDE, SPE_COUNT,
+    StallDiagnosis, StallKind, SyncPolicy, TraceMeta, TraceSink, TransferPlan, TransferPlanBuilder,
+    Window, REGION_STRIDE, SPE_COUNT,
 };

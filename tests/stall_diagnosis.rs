@@ -70,8 +70,9 @@ fn data_and_traced_variants_report_the_same_stall() {
     let with_data = system
         .try_run_with_data(&Placement::identity(), &plan, &mut state)
         .unwrap_err();
+    let mut sink = cellsim::tracestore::TraceStoreWriter::new(Vec::new());
     let traced = system
-        .try_run_traced(&Placement::identity(), &plan)
+        .try_run_with_sink(&Placement::identity(), &plan, &mut sink)
         .unwrap_err();
     assert_eq!(direct.diagnosis().kind, with_data.diagnosis().kind);
     assert_eq!(direct.diagnosis().kind, traced.diagnosis().kind);

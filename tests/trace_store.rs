@@ -2,7 +2,9 @@
 //! run directory is byte-identical whether the sweep ran serially, on
 //! four workers, or against a warm run cache; every artifact's counts
 //! reconcile exactly with its metrics digest; and corruption surfaces
-//! as typed errors that the next recording pass heals.
+//! as typed errors that the next recording pass heals. A store recorded
+//! into memory answers the per-ring, per-bank and per-SPE byte questions
+//! exactly as the always-on metrics do.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -10,8 +12,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cellsim::exec::{RunSpec, SweepExecutor};
 use cellsim::experiments::{figure_points, figure_specs, ExperimentConfig};
-use cellsim::tracestore::{Manifest, TraceStore, TraceStoreError, TRACE_FILE};
-use cellsim::CellSystem;
+use cellsim::tracestore::{
+    Manifest, TraceFilter, TraceKind, TraceStore, TraceStoreError, TraceStoreWriter, TRACE_FILE,
+};
+use cellsim::{CellSystem, FabricReport, FaultPlan, Placement, SyncPolicy, TransferPlan};
 
 fn temp_dir(tag: &str) -> PathBuf {
     static N: AtomicUsize = AtomicUsize::new(0);
@@ -185,4 +189,124 @@ fn corrupt_artifacts_error_typed_and_are_re_recorded() {
     record(1, &dir, specs);
     assert_eq!(pristine, snapshot(&dir), "self-healed to identical bytes");
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Records one run into an in-memory store.
+fn record_in_memory(
+    system: &CellSystem,
+    placement: &Placement,
+    plan: &TransferPlan,
+) -> (FabricReport, TraceStore) {
+    let mut writer = TraceStoreWriter::new(Vec::new());
+    let report = system
+        .try_run_with_sink(placement, plan, &mut writer)
+        .expect("run completes");
+    let (bytes, _) = writer
+        .finalize(report.metrics.events, report.packets)
+        .expect("in-memory store finalizes");
+    (
+        report,
+        TraceStore::from_bytes(bytes).expect("store verifies"),
+    )
+}
+
+#[test]
+fn store_phases_and_byte_totals_match_the_metrics() {
+    let get_put = TransferPlan::builder()
+        .get_from_memory(0, 256 << 10, 16 * 1024, SyncPolicy::AfterAll)
+        .put_to_memory(1, 256 << 10, 16 * 1024, SyncPolicy::AfterAll)
+        .build()
+        .expect("valid plan");
+    let mut cycle = TransferPlan::builder();
+    for spe in 0..8 {
+        cycle = cycle.exchange_with(
+            spe,
+            (spe + 1) % 8,
+            64 << 10,
+            16 * 1024,
+            SyncPolicy::AfterAll,
+        );
+    }
+    let cycle = cycle.build().expect("valid plan");
+    let healthy = CellSystem::blade();
+    let degraded = CellSystem::blade().with_faults(
+        FaultPlan::parse(include_str!("../plans/degraded_smoke.json")).expect("smoke plan parses"),
+    );
+    // The last field is a healthy run's memory-packet count; the degraded
+    // run NACKs and abandons packets, so only the metric equalities hold.
+    let runs = [
+        (
+            "get+put",
+            &healthy,
+            Placement::identity(),
+            &get_put,
+            Some(4096),
+        ),
+        (
+            "8-spe cycle",
+            &healthy,
+            Placement::lottery(7, 0),
+            &cycle,
+            Some(0),
+        ),
+        (
+            "degraded get+put",
+            &degraded,
+            Placement::identity(),
+            &get_put,
+            None,
+        ),
+    ];
+
+    for (name, system, placement, plan, mem_packets) in runs {
+        let (report, store) = record_in_memory(system, &placement, plan);
+        let m = &report.metrics;
+        // Per-phase counts, and bytes keyed by ring (grants), bank
+        // (memory accesses) and initiating SPE (deliveries).
+        let mut counts = [0u64; 4];
+        let mut ring_bytes = vec![0u64; m.rings.len()];
+        let mut bank_bytes = vec![0u64; m.banks.len()];
+        let mut spe_bytes = vec![0u64; report.per_spe_bytes.len()];
+        store
+            .for_each(&TraceFilter::default(), |e| {
+                counts[e.kind as usize] += 1;
+                let bytes = u64::from(e.bytes);
+                match e.kind {
+                    TraceKind::Issue => {}
+                    TraceKind::Mem => bank_bytes[usize::from(e.aux)] += bytes,
+                    TraceKind::Grant => ring_bytes[usize::from(e.aux)] += bytes,
+                    TraceKind::Deliver => spe_bytes[usize::from(e.spe)] += bytes,
+                }
+                Ok(())
+            })
+            .expect("store decodes");
+
+        let [issued, mem, granted, delivered] = counts;
+        let abandoned = m.faults.abandoned_packets;
+        assert_eq!(issued, report.packets + abandoned, "{name}: issues");
+        assert_eq!(delivered, report.packets, "{name}: delivers");
+        let ring_grants: u64 = m.rings.iter().map(|r| r.grants).sum();
+        assert_eq!(granted, ring_grants, "{name}: grants");
+        let accesses: u64 = m.banks.iter().map(|b| b.stats.accesses).sum();
+        assert_eq!(mem, accesses, "{name}: memory accesses");
+        if let Some(mem_packets) = mem_packets {
+            // One issue, grant and delivery per 128-byte packet, and one
+            // memory access per memory packet.
+            let packets = plan.total_bytes() / 128;
+            assert_eq!(report.packets, packets, "{name}: packets");
+            assert_eq!(abandoned, 0, "{name}: healthy runs abandon nothing");
+            assert_eq!(granted, packets, "{name}: one grant per packet");
+            assert_eq!(mem, mem_packets, "{name}: one access per memory packet");
+        } else {
+            assert!(m.faults.nacks > 0, "{name}: the fault plan is active");
+        }
+
+        let rings: Vec<u64> = m.rings.iter().map(|r| r.bytes).collect();
+        assert_eq!(ring_bytes, rings, "{name}: per-ring bytes");
+        for (i, b) in m.banks.iter().enumerate() {
+            assert_eq!(b.bank as usize, i, "banks are listed in id order");
+            assert_eq!(bank_bytes[i], b.stats.bytes, "{name}: bank {i} bytes");
+        }
+        assert_eq!(spe_bytes, report.per_spe_bytes, "{name}: per-SPE bytes");
+    }
 }
